@@ -62,10 +62,10 @@ const TAG_PEND: [u8; 4] = *b"PEND";
 /// is 8192 wide). Caps allocation before trusting a corrupted length field.
 const MAX_PLANE_DIM: usize = 1 << 16;
 
-/// Everything `feves resume` needs to rebuild the CLI job: the original
+/// Everything a resumed session needs to rebuild its job: the original
 /// flags (so the platform/config reconstruction replays exactly), the
 /// input identity, and the progress watermark.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResumeContext {
     /// Input sequence path (y4m).
     pub input: String,

@@ -412,7 +412,7 @@ impl FevesEncoder {
     }
 
     /// The active recorder: this encoder's own, else the process global.
-    fn rec(&self) -> Arc<dyn Recorder> {
+    pub fn rec(&self) -> Arc<dyn Recorder> {
         self.recorder.clone().unwrap_or_else(feves_obs::global)
     }
 

@@ -28,7 +28,9 @@
 use crate::job::{self, JobSpec, JobStatus};
 use crate::partition;
 use crate::queue::JobQueue;
-use crate::session::{fleet_platform, run_session, verify_artifact, SessionFailure, SessionReport};
+use crate::session::{
+    check_job, platform_of, run_session, verify_artifact, SessionFailure, SessionReport,
+};
 use crate::signal;
 use crate::ServeError;
 use feves_core::SessionCtl;
@@ -392,7 +394,8 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
         let _ = sweep_orphans(dir);
     }
 
-    let platform = fleet_platform(&cfg.platform)?;
+    // The fleet platform the partitioner and fleet health size against.
+    let (platform, _) = platform_of(&cfg.platform).map_err(ServeError::BadJob)?;
     let accel: Vec<bool> = platform
         .devices
         .iter()
@@ -702,7 +705,12 @@ fn scan_spool(
             Ok(t) => t,
             Err(_) => continue, // vanished between listing and read
         };
-        match job::unframe_control(&text).and_then(JobSpec::from_json) {
+        // A spec no session could run (unknown platform, balancer or
+        // fault spec) fails here, before it costs an input read or a retry.
+        let spec = job::unframe_control(&text)
+            .and_then(JobSpec::from_json)
+            .and_then(|spec| check_job(&spec).map(|()| spec).map_err(ServeError::BadJob));
+        match spec {
             Err(e) => {
                 // Reject, never crash: a corrupt spec (checksum mismatch)
                 // is quarantined for inspection; a merely invalid one is
@@ -917,6 +925,29 @@ mod tests {
         let done = done_text(&dir, "j2");
         assert!(done.contains("\"rejected\""), "{done}");
         assert!(done.contains("queue full"), "{done}");
+    }
+
+    #[test]
+    fn unrunnable_spec_fails_at_admission_without_a_session() {
+        signal::reset();
+        let dir = scratch("unrunnable");
+        // No input file at all: an admitted job would fail reading it and
+        // retry, so only an admission-time rejection gives `attempts: 0`.
+        let bad = JobSpec {
+            id: "bogus".into(),
+            input: dir.join("in.y4m").to_string_lossy().into_owned(),
+            output: dir.join("bogus.y4m").to_string_lossy().into_owned(),
+            platform: "bogus".into(),
+            ..JobSpec::default()
+        };
+        job::write_job(&dir.join("spool"), &bad).unwrap();
+        let report = run(farm_cfg(&dir)).unwrap();
+        assert_eq!((report.completed, report.failed, report.retried), (0, 1, 0));
+        let done = done_text(&dir, "bogus");
+        assert!(done.contains("\"failed\""), "{done}");
+        assert!(done.contains("unknown platform"), "{done}");
+        assert!(done.contains("\"attempts\": 0"), "{done}");
+        assert!(!dir.join("spool").join("bogus.json").exists());
     }
 
     #[test]

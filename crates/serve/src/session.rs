@@ -1,34 +1,48 @@
-//! One supervised encode session: the library-side twin of the CLI's
-//! `feves encode` / `feves resume` path.
+//! The encode session engine: one input, one output, and the checkpointed
+//! frame loop that drives the framework (the paper's Algorithm 1) frame by
+//! frame.
 //!
-//! Bit-exactness is the contract here: a job run under the farm must
-//! produce output byte-identical to the same job run as a single
-//! `feves encode`. That is why this module mirrors the CLI's
-//! platform/config reconstruction, checkpoint protocol and resume
-//! truncation logic step for step — the only deliberate differences are
-//! that a farm session is quiet (no per-frame printing), carries a
-//! [`feves_core::SessionCtl`] so the supervisor can preempt it at frame
-//! boundaries, and seeds the health-backoff jitter from the job id
-//! (scheduling timing only; never functional bytes).
+//! `feves encode`, `feves resume` and every farm worker run through this
+//! module, so it alone knows the session protocol:
+//!
+//! - how the platform and encoder config are rebuilt from a
+//!   [`ResumeContext`] ([`build_config`]);
+//! - how a resume is validated against the input and the output on disk
+//!   ([`Session::open`]): input fingerprint, frame count, output length and
+//!   the CRC of the committed output prefix, failing with the typed
+//!   `CheckpointStale` / `CheckpointCorrupt` errors;
+//! - the flush → fsync → snapshot → commit order of every checkpoint, the
+//!   `frame@n` crash point and the final fsync ([`Session::run`]).
+//!
+//! A farm job is therefore byte-identical to the same standalone encode by
+//! construction. The callers differ only in policy: the CLI prints progress
+//! and reports a resume that fails validation as an error, while the farm
+//! ([`run_session`]) stays quiet, starts such a job over from frame 0,
+//! fires chaos kills, records checkpoint trace spans and seeds the
+//! health-backoff jitter from the job id (scheduling timing only; never
+//! functional bytes).
 
 use crate::job::JobSpec;
-use crate::ServeError;
+use feves_codec::kernels::{self, KernelKind};
 use feves_codec::types::{EncodeParams, SearchArea};
 use feves_core::{
     load_latest, BalancerKind, CheckpointManager, EncoderConfig, ExecutionMode, FevesEncoder,
-    FrameworkState, ResumeContext, SessionCtl,
+    FrameReport, FrameworkState, ResumeContext, SessionCtl,
 };
 use feves_ft::ckpt::{crc32, crc32_update, fnv1a64, CRC32_INIT};
+use feves_ft::crash::crash_point_at;
 use feves_ft::io::{backend_for, CrcFile};
 use feves_ft::{FaultSchedule, FevesError};
 use feves_hetsim::platform::Platform;
 use feves_hetsim::profiles;
-use feves_obs::{NoopRecorder, SessionScope, TraceSink};
+use feves_obs::{SessionScope, TraceSink};
 use feves_video::frame::Frame;
 use feves_video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
+use std::fmt::Display;
 use std::io::{BufWriter, Seek, SeekFrom};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What a session that ran to a clean stop reports back.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,8 +57,8 @@ pub struct SessionReport {
     /// *should* be, independent of what the disk later returns. Zero when
     /// interrupted (the checkpoint carries the prefix CRC instead).
     pub artifact_crc: u32,
-    /// True when the supervisor's stop request ended the session early —
-    /// a durable checkpoint was committed first.
+    /// True when a stop request ended the session early — a durable
+    /// checkpoint was committed first.
     pub interrupted: bool,
 }
 
@@ -101,176 +115,387 @@ impl SessionFailure {
     }
 }
 
-/// Resolve a named platform exactly as the CLI does.
-pub(crate) fn platform_of(name: &str) -> Result<(Platform, BalancerKind), String> {
-    Ok(match name {
-        "syshk" => (Platform::sys_hk(), BalancerKind::Feves),
-        "sysnf" => (Platform::sys_nf(), BalancerKind::Feves),
-        "sysnff" => (Platform::sys_nff(), BalancerKind::Feves),
-        "cpu-n" => (
-            Platform::cpu_only(profiles::cpu_nehalem(), 4),
+/// The built-in platforms (paper §IV) with their default balancer, in
+/// `feves platforms` order.
+pub fn platforms() -> [(&'static str, Platform, BalancerKind); 7] {
+    use profiles::{cpu_haswell, cpu_nehalem, gpu_fermi, gpu_kepler};
+    let single = BalancerKind::SingleAccelerator(0);
+    [
+        ("syshk", Platform::sys_hk(), BalancerKind::Feves),
+        ("sysnf", Platform::sys_nf(), BalancerKind::Feves),
+        ("sysnff", Platform::sys_nff(), BalancerKind::Feves),
+        (
+            "cpu-n",
+            Platform::cpu_only(cpu_nehalem(), 4),
             BalancerKind::CpuOnly,
         ),
-        "cpu-h" => (
-            Platform::cpu_only(profiles::cpu_haswell(), 4),
+        (
+            "cpu-h",
+            Platform::cpu_only(cpu_haswell(), 4),
             BalancerKind::CpuOnly,
         ),
-        "gpu-f" => (
-            Platform::gpu_only(profiles::gpu_fermi()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        "gpu-k" => (
-            Platform::gpu_only(profiles::gpu_kepler()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        other => {
-            return Err(format!(
-                "unknown platform '{other}' (see `feves platforms`)"
-            ))
+        ("gpu-f", Platform::gpu_only(gpu_fermi()), single),
+        ("gpu-k", Platform::gpu_only(gpu_kepler()), single),
+    ]
+}
+
+/// Resolve a built-in platform by name.
+pub fn platform_of(name: &str) -> Result<(Platform, BalancerKind), String> {
+    platforms()
+        .into_iter()
+        .find(|(key, ..)| *key == name)
+        .map(|(_, platform, balancer)| (platform, balancer))
+        .ok_or_else(|| format!("unknown platform '{name}' (see `feves platforms`)"))
+}
+
+/// Build the platform + encoder config a job describes. This is the one
+/// reconstruction path for fresh encodes, resumes, farm jobs and job-spec
+/// checks, so every run of one [`ResumeContext`] is configured
+/// identically. The config keeps the 1080p timing-mode defaults;
+/// [`Session::open`] switches it to the input's functional encode.
+pub fn build_config(ctx: &ResumeContext) -> Result<(Platform, EncoderConfig), String> {
+    let kernel_kind = match ctx.kernels.as_deref() {
+        None => kernels::active_kind(),
+        Some(choice) => {
+            let kind = match choice {
+                "scalar" => KernelKind::Scalar,
+                "fast" => KernelKind::Fast,
+                other => return Err(format!("--kernels: unknown value '{other}' (scalar|fast)")),
+            };
+            // Kernel dispatch is process-global: an explicit choice
+            // overrides `FEVES_KERNELS`.
+            kernels::force_kind(kind);
+            kind
         }
-    })
-}
-
-/// The fleet platform the partitioner and fleet health machine size against.
-pub fn fleet_platform(name: &str) -> Result<Platform, ServeError> {
-    platform_of(name)
-        .map(|(p, _)| p)
-        .map_err(ServeError::BadJob)
-}
-
-/// Build the platform + functional encoder config a job describes —
-/// the same reconstruction the CLI's `JobSpec::build` performs, so farm
-/// and single-session runs of one job are configured identically.
-fn build_job_config(
-    job: &JobSpec,
-    resolution: feves_video::geometry::Resolution,
-) -> Result<(Platform, EncoderConfig), String> {
-    // Kernel dispatch is process-global (FEVES_KERNELS); the simulated CPU
-    // profiles must match whatever family the host actually runs.
-    let kernel_kind = feves_codec::kernels::active_kind();
-    let (mut platform, default_balancer) = platform_of(&job.platform)?;
+    };
+    let (mut platform, default_balancer) = match &ctx.platform_json {
+        Some(json) => (
+            Platform::from_json(json).map_err(|e| e.to_string())?,
+            BalancerKind::Feves,
+        ),
+        None => platform_of(&ctx.platform)?,
+    };
+    // Simulated CPU device times must reflect the kernels the host
+    // actually runs (scalar loops are slower than the SWAR baseline).
     platform.devices = platform
         .devices
         .drain(..)
         .map(|d| profiles::scaled_for_kernels(d, kernel_kind))
         .collect();
-    let params = EncodeParams {
-        search_area: SearchArea(job.sa),
-        n_ref: job.refs,
-        qp: job.qp,
-        qp_intra: job.qp.saturating_sub(1),
-    };
-    let mut cfg = EncoderConfig::full_hd(params);
-    cfg.resolution = resolution;
-    cfg.balancer = match job.balancer.as_str() {
+    let mut cfg = EncoderConfig::full_hd(EncodeParams {
+        search_area: SearchArea(ctx.sa),
+        n_ref: ctx.refs,
+        qp: ctx.qp,
+        qp_intra: ctx.qp.saturating_sub(1),
+    });
+    cfg.balancer = match ctx.balancer.as_str() {
         "feves" => default_balancer,
         "proportional" => BalancerKind::Proportional,
         "equidistant" => BalancerKind::Equidistant,
         other => return Err(format!("unknown balancer '{other}'")),
     };
-    cfg.faults = FaultSchedule::parse(&job.faults)
+    cfg.faults = FaultSchedule::parse(&ctx.faults)
         .map_err(|e| e.to_string())?
         .specs;
-    cfg.mode = ExecutionMode::Functional;
-    // Decorrelate concurrent sessions' re-admission probes of a shared
-    // recovered device. Timing only — functional bytes are unaffected.
-    cfg.health_jitter = Some(job.seed());
-    cfg.pipeline = job.pipeline;
-    cfg.trace = job.trace;
+    if let Some(f) = ctx.deadline_factor {
+        cfg.deadline_factor = f;
+    }
+    cfg.pipeline = ctx.pipeline;
     Ok((platform, cfg))
 }
 
-/// Read the job's input, returning its fingerprint, header and frames.
-fn read_input(input: &str) -> Result<(u64, Y4mHeader, Vec<Frame>), SessionFailure> {
-    let raw = std::fs::read(input).map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    let fp = fnv1a64(&raw);
-    let mut reader = Y4mReader::new(std::io::Cursor::new(raw))
-        .map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    let header = reader.header();
-    let frames = reader
-        .read_all()
-        .map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    Ok((fp, header, frames))
+/// An input sequence read whole, with the fingerprint its checkpoints
+/// record.
+pub struct Input {
+    /// FNV-1a 64 of the file's bytes.
+    pub fingerprint: u64,
+    /// The Y4M stream header.
+    pub header: Y4mHeader,
+    /// Every frame, in order.
+    pub frames: Vec<Frame>,
 }
 
-/// A usable checkpoint to continue from, if one exists and still matches
-/// the input and output on disk. Any mismatch or corruption falls back to
-/// a fresh encode — re-encoding from frame 0 is always bit-safe, so the
-/// farm prefers it over refusing the job.
-fn usable_checkpoint(
-    job: &JobSpec,
-    input_fp: u64,
-    n_frames: usize,
-) -> Option<(ResumeContext, FrameworkState, u32)> {
-    let dir = job.ckpt_dir();
-    if !dir.is_dir() {
-        return None;
+/// Read a Y4M input whole and fingerprint it. An input without frames is
+/// an error: there is nothing to encode and no valid output to write.
+pub fn read_input(path: &str) -> Result<Input, SessionFailure> {
+    let fail = |e: &dyn Display| SessionFailure::new(format!("{path}: {e}"));
+    let raw = std::fs::read(path).map_err(|e| fail(&e))?;
+    let fingerprint = fnv1a64(&raw);
+    let mut reader = Y4mReader::new(std::io::Cursor::new(raw)).map_err(|e| fail(&e))?;
+    let frames = reader.read_all().map_err(|e| fail(&e))?;
+    if frames.is_empty() {
+        return Err(fail(&"empty input"));
     }
-    let (_path, ctx, state, _warnings) = load_latest(&dir).ok()?;
-    if ctx.input_fingerprint != input_fp || ctx.n_frames != n_frames {
-        return None;
-    }
-    // A frame-0 checkpoint (preempted before any work) carries no output —
-    // not even the Y4M header. Starting fresh is identical and simpler.
-    if ctx.frames_done == 0 {
-        return None;
-    }
-    let out = Path::new(&ctx.output);
-    let raw = backend_for(out).read(out).ok()?;
-    if (raw.len() as u64) < ctx.out_bytes {
-        return None;
-    }
-    // The committed prefix must still hash to what the checkpoint claims:
-    // bit-rot in already-durable bytes must never be extended into a
-    // "complete" artifact.
-    let crc_state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
-    if !crc_state != ctx.out_crc {
-        return None;
-    }
-    Some((ctx, state, crc_state))
+    Ok(Input {
+        fingerprint,
+        header: reader.header(),
+        frames,
+    })
 }
 
-/// Flush + fsync the output so the frame boundary is durable, then commit
-/// a checkpoint claiming it — the CLI's protocol, verbatim.
-fn commit_checkpoint(
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    enc: &mut FevesEncoder,
-    mgr: &CheckpointManager,
-    ctx: &mut ResumeContext,
-    done: usize,
-    trace: Option<&TraceSink>,
-) -> Result<(), SessionFailure> {
-    let ckpt_start = trace.map(|t| t.now_us());
-    let io_fail = |e: &dyn std::fmt::Display| SessionFailure::new(format!("{out_path}: {e}"));
-    writer.flush().map_err(|e| io_fail(&e))?;
-    let file = writer.get_ref().get_ref();
-    file.sync().map_err(|e| io_fail(&e))?;
-    ctx.frames_done = done;
-    ctx.out_bytes = file.bytes();
-    // The checkpoint claims the CRC of the bytes it just made durable; a
-    // retry refuses to resume atop a prefix that no longer hashes to this.
-    ctx.out_crc = file.crc();
-    // Checkpoints only commit at quiesced frame boundaries: drain any
-    // in-flight pipeline generation before snapshotting.
-    enc.quiesce_pipeline();
-    let state = enc.snapshot();
-    mgr.write(ctx, &state, &NoopRecorder)
-        .map_err(|e| SessionFailure::new(format!("checkpoint {}: {e}", mgr.dir().display())))?;
-    // One wall-clock checkpoint span under the attempt, named by the frame
-    // boundary it committed — the anchor a retry's resume edge points at.
-    if let (Some(t), Some(start)) = (trace, ckpt_start) {
-        t.record(
-            &format!("ckpt{done}"),
-            "checkpoint",
-            start,
-            t.now_us() - start,
-        );
-    }
-    Ok(())
+/// Progress the frame loop reports to its caller.
+pub enum Step<'a> {
+    /// Frame `n` is next: the stop check passed and the `frame@n` crash
+    /// point is about to fire.
+    Begin(usize),
+    /// A frame was encoded and its reconstruction written.
+    Frame(&'a FrameReport),
+    /// A checkpoint was committed at frame boundary `frame`, taking `took`.
+    /// `stop` marks the commit a stop request forced; the loop returns
+    /// right after it.
+    Checkpoint {
+        /// The generation file written.
+        path: &'a Path,
+        /// Frames the checkpoint commits.
+        frame: usize,
+        /// Wall time of flush, fsync, snapshot and commit.
+        took: Duration,
+        /// True for the stop-request commit.
+        stop: bool,
+    },
 }
 
-/// Run one job to completion, a preemption checkpoint, or failure.
+/// One open encode session: the encoder, the output positioned at its
+/// last committed frame boundary, and the context its checkpoints carry.
+pub struct Session<'a> {
+    /// The encoder, fresh or restored. Attach telemetry, a flight
+    /// recorder, a supervisor [`SessionCtl`] or a trace sink here before
+    /// [`Session::run`].
+    pub enc: FevesEncoder,
+    ctx: ResumeContext,
+    frames: &'a [Frame],
+    writer: Y4mWriter<BufWriter<CrcFile>>,
+    ckpt: Option<CheckpointManager>,
+}
+
+impl<'a> Session<'a> {
+    /// Open `ctx`'s session over `input` with the config [`build_config`]
+    /// made from it. Without `state` (or from a frame-0 checkpoint, which
+    /// committed no output — not even the Y4M header) the encoder starts
+    /// fresh and the output is created. With one, the resume is validated
+    /// first: the input must be the one the checkpoint saw, and the output
+    /// must still hold the committed prefix, hashing to the recorded CRC.
+    /// The output is then truncated to that frame boundary (anything past
+    /// it is a torn frame) and the encoder restored without re-probing.
+    ///
+    /// `ckpt_dir` arms checkpointing: cadence commits every `ctx.every`
+    /// frames and a commit on a stop request.
+    pub fn open(
+        ctx: ResumeContext,
+        input: &'a Input,
+        state: Option<FrameworkState>,
+        ckpt_dir: Option<PathBuf>,
+        (platform, mut cfg): (Platform, EncoderConfig),
+    ) -> Result<Self, SessionFailure> {
+        let invalid = SessionFailure::from_feves;
+        if input.fingerprint != ctx.input_fingerprint {
+            return Err(invalid(FevesError::CheckpointStale(format!(
+                "input {} changed since the checkpoint was taken",
+                ctx.input
+            ))));
+        }
+        if input.frames.len() != ctx.n_frames {
+            return Err(invalid(FevesError::CheckpointStale(format!(
+                "input {} has {} frames, checkpoint expects {}",
+                ctx.input,
+                input.frames.len(),
+                ctx.n_frames
+            ))));
+        }
+        cfg.mode = ExecutionMode::Functional;
+        cfg.resolution = input.header.resolution;
+        let out = Path::new(&ctx.output);
+        let io_fail = |e: &dyn Display| SessionFailure::new(format!("{}: {e}", ctx.output));
+        let (enc, writer) = match state.filter(|_| ctx.frames_done > 0) {
+            None => {
+                let enc = FevesEncoder::new(platform, cfg).map_err(SessionFailure::from_feves)?;
+                let file = CrcFile::create(out).map_err(|e| io_fail(&e))?;
+                (enc, Y4mWriter::new(BufWriter::new(file), input.header))
+            }
+            Some(state) => {
+                let raw = backend_for(out).read(out).map_err(|e| io_fail(&e))?;
+                let len = raw.len() as u64;
+                if len < ctx.out_bytes {
+                    return Err(invalid(FevesError::CheckpointStale(format!(
+                        "output {} is {len} bytes, shorter than the {} committed by the checkpoint",
+                        ctx.output, ctx.out_bytes
+                    ))));
+                }
+                // Resuming atop bit-rot would launder corrupt bytes into a
+                // "complete" artifact.
+                let prefix_crc_state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
+                if !prefix_crc_state != ctx.out_crc {
+                    return Err(invalid(FevesError::CheckpointCorrupt(format!(
+                        "output {}: committed prefix hashes to {:08x}, checkpoint recorded {:08x} \
+                         — the artifact rotted on disk; re-encode instead of resuming",
+                        ctx.output, !prefix_crc_state, ctx.out_crc
+                    ))));
+                }
+                drop(raw);
+                let enc = FevesEncoder::restore(platform, cfg, state)
+                    .map_err(SessionFailure::from_feves)?;
+                let mut file = std::fs::OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .open(out)
+                    .map_err(|e| io_fail(&e))?;
+                file.set_len(ctx.out_bytes).map_err(|e| io_fail(&e))?;
+                file.seek(SeekFrom::End(0)).map_err(|e| io_fail(&e))?;
+                // Seed the streaming CRC with the verified prefix so the
+                // artifact checksum covers the whole file.
+                let file = CrcFile::resume(file, prefix_crc_state, ctx.out_bytes);
+                (enc, Y4mWriter::resume(BufWriter::new(file), input.header))
+            }
+        };
+        let ckpt = ckpt_dir.map(|dir| CheckpointManager::new(dir, ctx.keep));
+        Ok(Session {
+            enc,
+            ctx,
+            frames: &input.frames,
+            writer,
+            ckpt,
+        })
+    }
+
+    /// Encode every frame past the committed boundary, streaming the
+    /// reconstructions to the output and reporting each [`Step`] to `on`.
+    /// With checkpointing armed, a durable checkpoint is committed every
+    /// `ctx.every` frames, unless the supervisor sheds it under disk
+    /// pressure; progress durability trades away, bit-exactness does not.
+    ///
+    /// A stop request is honored at the next frame boundary: a session
+    /// with a supervisor [`SessionCtl`] answers to its stop flag, one
+    /// without to the process's SIGTERM/SIGINT flag. With checkpointing
+    /// armed the session commits right there, whatever the cadence, and
+    /// returns an interrupted report; without, the stop is an error. A
+    /// session that finishes flushes and fsyncs its output first: success
+    /// is only ever reported for a durable artifact.
+    pub fn run(
+        mut self,
+        on: &mut dyn FnMut(Step<'_>),
+    ) -> Result<(SessionReport, FevesEncoder), SessionFailure> {
+        let frames = self.frames;
+        let n_frames = frames.len();
+        let output = self.ctx.output.clone();
+        let io_fail = |e: &dyn Display| SessionFailure::new(format!("{output}: {e}"));
+        for (i, f) in frames.iter().enumerate().skip(self.ctx.frames_done) {
+            let ctl = self.enc.ctl();
+            if ctl.map_or_else(crate::signal::shutdown_requested, |c| c.stop_requested()) {
+                self.commit(i, true, on)?;
+                let report = SessionReport {
+                    frames_done: i,
+                    n_frames,
+                    out_bytes: self.ctx.out_bytes,
+                    artifact_crc: 0,
+                    interrupted: true,
+                };
+                return Ok((report, self.enc));
+            }
+            on(Step::Begin(i));
+            crash_point_at("frame", i as u64);
+            let rep = self.enc.encode_frame(f);
+            let (y, u, v) = self.enc.last_reconstruction_yuv().ok_or_else(|| {
+                SessionFailure::new("functional encode produced no reconstruction")
+            })?;
+            let mut rf = f.clone();
+            rf.y_mut().copy_from(y);
+            rf.u_mut().copy_from(u);
+            rf.v_mut().copy_from(v);
+            self.writer.write_frame(&rf).map_err(|e| io_fail(&e))?;
+            on(Step::Frame(&rep));
+            let done = i + 1;
+            let every = self.ctx.every;
+            let shed = self.enc.ctl().is_some_and(|c| c.ckpt_shed());
+            let due = every > 0 && done.is_multiple_of(every) && done < n_frames;
+            if due && self.ckpt.is_some() && !shed {
+                self.commit(done, false, on)?;
+            }
+        }
+        let buf = self.writer.finish().map_err(|e| io_fail(&e))?;
+        let file = buf.into_inner().map_err(|e| io_fail(&e))?;
+        file.sync().map_err(|e| io_fail(&e))?;
+        let report = SessionReport {
+            frames_done: n_frames,
+            n_frames,
+            out_bytes: file.bytes(),
+            artifact_crc: file.crc(),
+            interrupted: false,
+        };
+        Ok((report, self.enc))
+    }
+
+    /// Commit a checkpoint at frame boundary `done`: flush the Y4M buffer
+    /// and fsync the output so the boundary is durable, record its length
+    /// and CRC, quiesce any in-flight pipeline generation, snapshot the
+    /// encoder and write the generation. Only a stop request reaches here
+    /// unarmed, and it cannot be honored without a checkpoint.
+    fn commit(
+        &mut self,
+        done: usize,
+        stop: bool,
+        on: &mut dyn FnMut(Step<'_>),
+    ) -> Result<(), SessionFailure> {
+        let Some(mgr) = &self.ckpt else {
+            return Err(SessionFailure::new(
+                "interrupted (no checkpointing armed; partial output left as-is)",
+            ));
+        };
+        let started = Instant::now();
+        let output = &self.ctx.output;
+        let io_fail = |e: &dyn Display| SessionFailure::new(format!("{output}: {e}"));
+        self.writer.flush().map_err(|e| io_fail(&e))?;
+        let file = self.writer.get_ref().get_ref();
+        file.sync().map_err(|e| io_fail(&e))?;
+        let (out_bytes, out_crc) = (file.bytes(), file.crc());
+        self.ctx.frames_done = done;
+        self.ctx.out_bytes = out_bytes;
+        self.ctx.out_crc = out_crc;
+        self.enc.quiesce_pipeline();
+        let state = self.enc.snapshot();
+        let path = mgr
+            .write(&self.ctx, &state, self.enc.rec().as_ref())
+            .map_err(|e| SessionFailure::new(format!("checkpoint {}: {e}", mgr.dir().display())))?;
+        on(Step::Checkpoint {
+            path: &path,
+            frame: done,
+            took: started.elapsed(),
+            stop,
+        });
+        Ok(())
+    }
+}
+
+/// The context a farm job's checkpoints carry, before its input is read
+/// (`n_frames` and `input_fingerprint` are still zero).
+fn job_context(job: &JobSpec) -> ResumeContext {
+    ResumeContext {
+        input: job.input.clone(),
+        output: job.output.clone(),
+        platform: job.platform.clone(),
+        sa: job.sa,
+        refs: job.refs,
+        qp: job.qp,
+        balancer: job.balancer.clone(),
+        faults: job.faults.clone(),
+        every: if job.checkpoint_every > 0 {
+            job.checkpoint_every
+        } else {
+            crate::farm::DEFAULT_CHECKPOINT_EVERY
+        },
+        keep: 2,
+        pipeline: job.pipeline,
+        ..ResumeContext::default()
+    }
+}
+
+/// Reject a job whose platform, balancer or fault specs no session could
+/// run, before any work is done: the same config builder a session uses
+/// decides.
+pub fn check_job(job: &JobSpec) -> Result<(), String> {
+    build_config(&job_context(job)).map(drop)
+}
+
+/// Run one farm job to completion, a preemption checkpoint, or failure.
 ///
 /// `attempt` is 0 on first dispatch and counts up across supervisor
 /// retries; the [`JobSpec::chaos_kill_at`] hook only fires on attempt 0,
@@ -282,152 +507,69 @@ pub fn run_session(
     attempt: u32,
     trace: Option<TraceSink>,
 ) -> Result<SessionReport, SessionFailure> {
-    let (input_fp, header, frames) = read_input(&job.input)?;
-    let n_frames = frames.len();
-    if n_frames == 0 {
-        return Err(SessionFailure::new(format!("{}: empty input", job.input)));
-    }
-    let (platform, cfg) = build_job_config(job, header.resolution).map_err(SessionFailure::new)?;
-    let every = if job.checkpoint_every > 0 {
-        job.checkpoint_every
-    } else {
-        crate::farm::DEFAULT_CHECKPOINT_EVERY
+    let input = read_input(&job.input)?;
+    let fresh = ResumeContext {
+        n_frames: input.frames.len(),
+        input_fingerprint: input.fingerprint,
+        ..job_context(job)
     };
-
-    // Fresh start, or resume from the newest checkpoint that still matches
-    // the on-disk input and output.
-    let resume = usable_checkpoint(job, input_fp, n_frames);
-    let out_path = job.output.clone();
-    let (mut enc, mut writer, mut ctx) = match resume {
-        Some((mut ctx, state, prefix_crc_state)) => {
-            // Everything past the committed boundary is a torn frame from
-            // the previous attempt: truncate it away.
-            let open_fail =
-                |e: &dyn std::fmt::Display| SessionFailure::new(format!("{out_path}: {e}"));
-            let mut file = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&out_path)
-                .map_err(|e| open_fail(&e))?;
-            file.set_len(ctx.out_bytes).map_err(|e| open_fail(&e))?;
-            file.seek(SeekFrom::End(0)).map_err(|e| open_fail(&e))?;
-            let enc =
-                FevesEncoder::restore(platform, cfg, state).map_err(SessionFailure::from_feves)?;
-            // Seed the streaming CRC with the verified prefix so the final
-            // artifact checksum covers the whole file, both attempts.
-            let crc_file = CrcFile::resume(file, prefix_crc_state, ctx.out_bytes);
-            let writer = Y4mWriter::resume(BufWriter::new(crc_file), header);
-            ctx.every = every;
-            // The job spec, not the checkpoint, owns the scheduling mode:
-            // resuming lockstep work pipelined (or vice versa) is bit-safe.
-            ctx.pipeline = job.pipeline;
-            (enc, writer, ctx)
-        }
-        None => {
-            let enc = FevesEncoder::new(platform, cfg).map_err(SessionFailure::from_feves)?;
-            let file = CrcFile::create(Path::new(&out_path))
-                .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-            let writer = Y4mWriter::new(BufWriter::new(file), header);
+    let config = |ctx: &ResumeContext| {
+        let (platform, mut cfg) = build_config(ctx).map_err(SessionFailure::new)?;
+        // Decorrelate concurrent sessions' re-admission probes of a shared
+        // recovered device. Timing only — functional bytes are unaffected.
+        cfg.health_jitter = Some(job.seed());
+        cfg.trace = job.trace;
+        Ok::<_, SessionFailure>((platform, cfg))
+    };
+    // Resume from the newest checkpoint of this very job when it validates.
+    // Anything else starts over from frame 0: re-encoding is always
+    // bit-safe, so the farm prefers it to failing the job.
+    let dir = job.ckpt_dir();
+    let resumed = load_latest(&dir)
+        .ok()
+        .filter(|(_, ctx, ..)| ctx.fingerprint() == fresh.fingerprint())
+        .and_then(|(_, ctx, state, _)| {
+            // The job spec, not the checkpoint, owns the cadence and the
+            // scheduling mode (resuming lockstep work pipelined is bit-safe).
             let ctx = ResumeContext {
-                input: job.input.clone(),
-                output: out_path.clone(),
-                platform: job.platform.clone(),
-                platform_json: None,
-                sa: job.sa,
-                refs: job.refs,
-                qp: job.qp,
-                balancer: job.balancer.clone(),
-                kernels: None,
-                faults: job.faults.clone(),
-                deadline_factor: None,
-                flight_out: None,
-                metrics_out: None,
-                every,
-                keep: 2,
-                frames_done: 0,
-                n_frames,
-                out_bytes: 0,
-                input_fingerprint: input_fp,
-                pipeline: job.pipeline,
-                out_crc: 0,
+                every: fresh.every,
+                pipeline: fresh.pipeline,
+                ..ctx
             };
-            (enc, writer, ctx)
+            let config = config(&ctx).ok()?;
+            Session::open(ctx, &input, Some(state), Some(dir.clone()), config).ok()
+        });
+    let mut session = match resumed {
+        Some(session) => session,
+        None => {
+            let config = config(&fresh)?;
+            Session::open(fresh, &input, None, Some(dir), config)?
         }
     };
-    enc.set_scope(scope);
-    enc.set_ctl(ctl.clone());
+    session.enc.set_scope(scope);
+    session.enc.set_ctl(ctl.clone());
     if let Some(sink) = &trace {
         // Frame/phase/kernel spans parent under the farm's attempt span.
-        enc.set_trace(sink.clone());
+        session.enc.set_trace(sink.clone());
     }
-    let trace = trace.as_ref();
-    let mgr = CheckpointManager::new(job.ckpt_dir(), ctx.keep);
-
-    let start = ctx.frames_done;
-    for (i, f) in frames.iter().enumerate().skip(start) {
-        if ctl.stop_requested() {
-            // Preemption lands only at frame boundaries; commit a durable
-            // checkpoint here regardless of the cadence, so the drain
-            // loses zero frames of work.
-            commit_checkpoint(&mut writer, &out_path, &mut enc, &mgr, &mut ctx, i, trace)?;
-            return Ok(SessionReport {
-                frames_done: i,
-                n_frames,
-                out_bytes: ctx.out_bytes,
-                artifact_crc: 0,
-                interrupted: true,
-            });
-        }
-        if attempt == 0 && job.chaos_kill_at == Some(i) {
+    let (report, _) = session.run(&mut |step| match step {
+        Step::Begin(i) if attempt == 0 && job.chaos_kill_at == Some(i) => {
             panic!(
                 "chaos: injected session kill before frame {i} of job '{}'",
                 job.id
-            );
+            )
         }
-        enc.encode_frame(f);
-        let (y, u, v) = enc
-            .last_reconstruction_yuv()
-            .ok_or_else(|| SessionFailure::new("functional encode produced no reconstruction"))?;
-        let mut rf = f.clone();
-        rf.y_mut().copy_from(y);
-        rf.u_mut().copy_from(u);
-        rf.v_mut().copy_from(v);
-        writer
-            .write_frame(&rf)
-            .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-        let done = i + 1;
-        // Under disk pressure the supervisor sheds cadence checkpoints —
-        // progress durability trades away, bit-exactness does not.
-        // Preemption and final commits are never shed.
-        if ctx.every > 0 && done % ctx.every == 0 && done < n_frames && !ctl.ckpt_shed() {
-            commit_checkpoint(
-                &mut writer,
-                &out_path,
-                &mut enc,
-                &mgr,
-                &mut ctx,
-                done,
-                trace,
-            )?;
+        // One wall-clock span per commit under the attempt, named by its
+        // frame boundary — the anchor a retry's resume edge points at.
+        Step::Checkpoint { frame, took, .. } => {
+            if let Some(t) = &trace {
+                let us = took.as_secs_f64() * 1e6;
+                t.record(&format!("ckpt{frame}"), "checkpoint", t.now_us() - us, us);
+            }
         }
-    }
-    let buf = writer
-        .finish()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    let file = buf
-        .into_inner()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    // A job is only ever reported complete after its artifact fsyncs; the
-    // streamed CRC is what the farm verifies the on-disk bytes against.
-    file.sync()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    Ok(SessionReport {
-        frames_done: n_frames,
-        n_frames,
-        out_bytes: file.bytes(),
-        artifact_crc: file.crc(),
-        interrupted: false,
-    })
+        _ => {}
+    })?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -554,5 +696,24 @@ mod tests {
         let err = run_session(&j, &ctl, hub().session("missing"), 0, None).unwrap_err();
         assert!(err.culprit.is_none());
         assert!(err.message.contains("in.y4m"));
+    }
+
+    #[test]
+    fn empty_input_fails_without_output() {
+        let dir = scratch("session-empty");
+        write_input(&dir.join("in.y4m"), 1);
+        // Keep only the stream header: a valid Y4M without frames.
+        let raw = std::fs::read(dir.join("in.y4m")).unwrap();
+        let header_end = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(dir.join("in.y4m"), &raw[..header_end]).unwrap();
+        let j = job(&dir, "empty");
+        let ctl = Arc::new(SessionCtl::new());
+        let err = run_session(&j, &ctl, hub().session("empty"), 0, None).unwrap_err();
+        assert!(err.culprit.is_none());
+        assert!(err.message.contains("empty input"), "{}", err.message);
+        assert!(
+            !Path::new(&j.output).exists(),
+            "no output for an empty input"
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! The workspace vendors no `libc`/`signal-hook`, so the daemon binds the
 //! C `signal(2)` entry point directly. The handler does the only thing an
 //! async-signal-safe handler may do here: store into a static atomic. The
-//! farm loop and the CLI encode loop poll [`shutdown_requested`] at frame
-//! granularity and run the graceful-drain / checkpoint protocol themselves.
+//! farm loop and every session without a supervisor control block poll
+//! [`shutdown_requested`] and run the graceful-drain / checkpoint protocol
+//! themselves.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -41,16 +41,14 @@
 //! shown).
 
 use feves::core::prelude::*;
-use feves::ft::ckpt::{crc32, crc32_update, fnv1a64, CKPT_MAGIC, CRC32_INIT};
-use feves::ft::crash::crash_point_at;
-use feves::ft::io::CrcFile;
+use feves::core::FrameReport;
+use feves::ft::ckpt::{crc32, fnv1a64, CKPT_MAGIC};
 use feves::obs::{
     compare_reports, compare_reports_metric, parse_flight_jsonl, render_html, write_atomic,
-    BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, SessionScope,
+    BusController, LiveConfig, LiveSnapshot, MemoryRecorder, SessionScope,
 };
-use feves::video::frame::Frame;
-use feves::video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
-use std::io::{BufWriter, Seek, SeekFrom};
+use feves::serve::session::{self, Session, SessionFailure, Step};
+use feves::video::y4m::Y4mReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -70,6 +68,12 @@ impl CliError {
     }
     fn runtime(e: impl ToString) -> Self {
         CliError::Runtime(e.to_string())
+    }
+}
+
+impl From<SessionFailure> for CliError {
+    fn from(e: SessionFailure) -> Self {
+        CliError::Runtime(e.message)
     }
 }
 
@@ -287,161 +291,39 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
     Ok((opts, positional))
 }
 
-fn platform_of(name: &str) -> Result<(Platform, BalancerKind), String> {
-    use feves::hetsim::profiles::*;
-    Ok(match name {
-        "syshk" => (Platform::sys_hk(), BalancerKind::Feves),
-        "sysnf" => (Platform::sys_nf(), BalancerKind::Feves),
-        "sysnff" => (Platform::sys_nff(), BalancerKind::Feves),
-        "cpu-n" => (Platform::cpu_only(cpu_nehalem(), 4), BalancerKind::CpuOnly),
-        "cpu-h" => (Platform::cpu_only(cpu_haswell(), 4), BalancerKind::CpuOnly),
-        "gpu-f" => (
-            Platform::gpu_only(gpu_fermi()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        "gpu-k" => (
-            Platform::gpu_only(gpu_kepler()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        other => {
-            return Err(format!(
-                "unknown platform '{other}' (see `feves platforms`)"
-            ))
-        }
-    })
-}
-
-/// Resolve a `--kernels` choice (falling back to `FEVES_KERNELS` / the
-/// default), force the runtime dispatch accordingly, and return the kind.
-fn apply_kernel_choice(kernels: Option<&str>) -> Result<feves::codec::KernelKind, String> {
-    use feves::codec::kernels;
-    let kind = match kernels {
-        Some("scalar") => kernels::KernelKind::Scalar,
-        Some("fast") => kernels::KernelKind::Fast,
-        Some(other) => return Err(format!("--kernels: unknown value '{other}' (scalar|fast)")),
-        None => kernels::active_kind(),
-    };
-    kernels::force_kind(kind);
-    Ok(kind)
-}
-
-/// The flag set that defines an encode job, independent of whether it came
-/// from the command line or from a checkpoint's [`ResumeContext`].
-struct JobSpec<'a> {
-    platform: &'a str,
-    /// Platform JSON *content* (already read), when a file was given.
-    platform_json: Option<&'a str>,
-    sa: u16,
-    refs: usize,
-    qp: u8,
-    balancer: &'a str,
-    kernels: Option<&'a str>,
-    faults: &'a [String],
-    deadline_factor: Option<f64>,
-    pipeline: bool,
-}
-
-impl<'a> JobSpec<'a> {
-    fn from_options(opts: &'a Options, platform_json: Option<&'a str>) -> Self {
-        JobSpec {
-            platform: &opts.platform,
-            platform_json,
-            sa: opts.sa,
-            refs: opts.refs,
-            qp: opts.qp,
-            balancer: &opts.balancer,
-            kernels: opts.kernels.as_deref(),
-            faults: &opts.faults,
-            deadline_factor: opts.deadline_factor,
-            pipeline: opts.pipeline,
-        }
-    }
-
-    fn from_context(ctx: &'a ResumeContext) -> Self {
-        JobSpec {
-            platform: &ctx.platform,
-            platform_json: ctx.platform_json.as_deref(),
-            sa: ctx.sa,
-            refs: ctx.refs,
-            qp: ctx.qp,
-            balancer: &ctx.balancer,
-            kernels: ctx.kernels.as_deref(),
-            faults: &ctx.faults,
-            deadline_factor: ctx.deadline_factor,
-            pipeline: ctx.pipeline,
-        }
-    }
-
-    /// Build the platform + config this spec describes. This is the single
-    /// reconstruction path for both fresh encodes and resumes, so a resumed
-    /// session replays exactly the configuration of the original one.
-    fn build(&self, resolution: Resolution) -> Result<(Platform, EncoderConfig), String> {
-        let kernel_kind = apply_kernel_choice(self.kernels)?;
-        let (mut platform, default_balancer) = match self.platform_json {
-            Some(json) => (
-                Platform::from_json(json).map_err(|e| e.to_string())?,
-                BalancerKind::Feves,
-            ),
-            None => platform_of(self.platform)?,
-        };
-        // Simulated CPU device times must reflect the kernels the host
-        // actually runs (scalar loops are slower than the SWAR baseline).
-        platform.devices = platform
-            .devices
-            .drain(..)
-            .map(|d| feves::hetsim::profiles::scaled_for_kernels(d, kernel_kind))
-            .collect();
-        let params = EncodeParams {
-            search_area: SearchArea(self.sa),
-            n_ref: self.refs,
-            qp: self.qp,
-            qp_intra: self.qp.saturating_sub(1),
-        };
-        let mut cfg = EncoderConfig::full_hd(params);
-        cfg.resolution = resolution;
-        cfg.balancer = match self.balancer {
-            "feves" => default_balancer,
-            "proportional" => BalancerKind::Proportional,
-            "equidistant" => BalancerKind::Equidistant,
-            other => return Err(format!("unknown balancer '{other}'")),
-        };
-        cfg.faults = feves::ft::FaultSchedule::parse(self.faults)
-            .map_err(|e| e.to_string())?
-            .specs;
-        if let Some(f) = self.deadline_factor {
-            cfg.deadline_factor = f;
-        }
-        cfg.pipeline = self.pipeline;
-        Ok((platform, cfg))
-    }
-}
-
-fn config_of(opts: &Options, resolution: Resolution) -> CliResult<(Platform, EncoderConfig)> {
-    let json = match &opts.platform_file {
+/// The job the flags describe, as the context its checkpoints carry
+/// (input identity and progress still unset).
+fn job_of(opts: &Options) -> CliResult<ResumeContext> {
+    let platform_json = match &opts.platform_file {
         Some(path) => Some(
             std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
         ),
         None => None,
     };
-    JobSpec::from_options(opts, json.as_deref())
-        .build(resolution)
-        .map_err(CliError::usage)
+    Ok(ResumeContext {
+        platform: opts.platform.clone(),
+        platform_json,
+        sa: opts.sa,
+        refs: opts.refs,
+        qp: opts.qp,
+        balancer: opts.balancer.clone(),
+        kernels: opts.kernels.clone(),
+        faults: opts.faults.clone(),
+        deadline_factor: opts.deadline_factor,
+        flight_out: opts.flight_out.clone(),
+        metrics_out: opts.metrics_out.clone(),
+        every: opts.checkpoint_every,
+        keep: opts.checkpoint_keep,
+        pipeline: opts.pipeline,
+        ..ResumeContext::default()
+    })
 }
 
 fn cmd_platforms() {
-    use feves::hetsim::profiles::*;
     println!("built-in platforms (paper §IV) — export one as a template with");
     println!("`feves export-platform syshk > my_platform.json`, edit it, and");
     println!("pass it anywhere via `--platform-file my_platform.json`:\n");
-    for (key, p) in [
-        ("syshk", Platform::sys_hk()),
-        ("sysnf", Platform::sys_nf()),
-        ("sysnff", Platform::sys_nff()),
-        ("cpu-n", Platform::cpu_only(cpu_nehalem(), 4)),
-        ("cpu-h", Platform::cpu_only(cpu_haswell(), 4)),
-        ("gpu-f", Platform::gpu_only(gpu_fermi())),
-        ("gpu-k", Platform::gpu_only(gpu_kepler())),
-    ] {
+    for (key, p, _) in session::platforms() {
         println!(
             "  {key:<7} {} — {} accelerator(s), {} CPU core(s)",
             p.name, p.n_accel, p.n_cores
@@ -523,8 +405,11 @@ impl Telemetry {
 }
 
 /// Attach an in-memory recorder to `enc` when `--metrics-out` asked for one.
-fn attach_recorder(enc: &mut FevesEncoder, opts: &Options) -> Option<Arc<MemoryRecorder>> {
-    opts.metrics_out.as_ref().map(|_| {
+fn attach_recorder(
+    enc: &mut FevesEncoder,
+    metrics_out: &Option<String>,
+) -> Option<Arc<MemoryRecorder>> {
+    metrics_out.as_ref().map(|_| {
         let rec = Arc::new(MemoryRecorder::new());
         enc.set_recorder(rec.clone());
         rec
@@ -592,7 +477,7 @@ fn print_rollups(report: &EncodeReport) {
 }
 
 fn cmd_simulate(opts: &Options) -> CliResult {
-    let (platform, cfg) = config_of(opts, Resolution::FULL_HD)?;
+    let (platform, cfg) = session::build_config(&job_of(opts)?).map_err(CliError::usage)?;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
     let telemetry = attach_telemetry(&mut enc, "simulate", opts);
     enable_flight(&mut enc, &opts.flight_out, opts.frames);
@@ -638,7 +523,7 @@ fn cmd_simulate(opts: &Options) -> CliResult {
 }
 
 fn cmd_stats(opts: &Options) -> CliResult {
-    let (platform, cfg) = config_of(opts, Resolution::FULL_HD)?;
+    let (platform, cfg) = session::build_config(&job_of(opts)?).map_err(CliError::usage)?;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
     let rec = Arc::new(MemoryRecorder::new());
     // Install globally too, so spans from the free functions (Algorithm 2,
@@ -662,19 +547,14 @@ fn cmd_stats(opts: &Options) -> CliResult {
     print_ft(&enc);
     print_rollups(&report);
     write_flight(&enc, &opts.flight_out)?;
-    if let Some(path) = &opts.metrics_out {
-        write_atomic(path, rec.to_jsonl(false))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-        eprintln!("metrics written to {path}");
-    }
-    Ok(())
+    write_metrics(&Some(rec), &opts.metrics_out)
 }
 
 fn cmd_trace(opts: &Options) -> CliResult {
-    let (platform, mut cfg) = config_of(opts, Resolution::FULL_HD)?;
+    let (platform, mut cfg) = session::build_config(&job_of(opts)?).map_err(CliError::usage)?;
     cfg.noise_amp = 0.0;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let rec = attach_recorder(&mut enc, opts);
+    let rec = attach_recorder(&mut enc, &opts.metrics_out);
     for _ in 0..opts.refs + 4 {
         enc.encode_inter_timing();
     }
@@ -735,126 +615,36 @@ fn cmd_trace_log(opts: &Options, input: &str) -> CliResult {
     Ok(())
 }
 
-/// Read a Y4M input entirely, returning its raw bytes' fingerprint plus the
-/// parsed header and frames.
-fn read_input(input: &str) -> CliResult<(u64, Y4mHeader, Vec<Frame>)> {
-    let raw = std::fs::read(input).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let fp = fnv1a64(&raw);
-    let mut reader = Y4mReader::new(std::io::Cursor::new(raw))
-        .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let header = reader.header();
-    let frames = reader
-        .read_all()
-        .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    Ok((fp, header, frames))
-}
-
-/// Flush the Y4M buffer, fsync the output so the frame boundary is
-/// durable, and commit a checkpoint claiming it.
-fn commit_checkpoint(
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    enc: &mut FevesEncoder,
-    mgr: &CheckpointManager,
-    ctx: &mut ResumeContext,
-    rec: &Option<Arc<MemoryRecorder>>,
-    done: usize,
-) -> CliResult<PathBuf> {
-    writer
-        .flush()
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    let file = writer.get_ref().get_ref();
-    file.sync()
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    ctx.frames_done = done;
-    ctx.out_bytes = file.bytes();
-    // The checkpoint claims the CRC of the prefix it just made durable;
-    // `feves resume` refuses a prefix that no longer hashes to it.
-    ctx.out_crc = file.crc();
-    // Checkpoints commit only at quiesced frame boundaries: drain any
-    // in-flight pipeline generation before snapshotting.
-    enc.quiesce_pipeline();
-    let state = enc.snapshot();
-    match rec {
-        Some(r) => mgr.write(ctx, &state, r.as_ref()),
-        None => mgr.write(ctx, &state, &NoopRecorder),
-    }
-    .map_err(|e| CliError::runtime(format!("checkpoint {}: {e}", mgr.dir().display())))
-}
-
-/// The encode main loop shared by `encode` and `resume`: encode
-/// `frames[start..]`, stream reconstructions to `writer`, and (when a
-/// manager is armed) durably checkpoint every `ctx.every` frames with the
-/// output flushed + fsynced first, so `ctx.out_bytes` is a committed frame
-/// boundary. `crash_point_at("frame", i)` fires before each frame for the
-/// chaos harness.
-///
-/// A `SIGTERM`/`SIGINT` is honored at the next frame boundary: with
-/// checkpointing armed, a durable checkpoint is committed right there
-/// (whatever the cadence) and the loop returns with the `interrupted` flag
-/// set so the caller can exit 0 without finishing the output; without
-/// checkpointing, the interrupt is a runtime error.
-#[allow(clippy::too_many_arguments)]
-fn encode_loop(
-    enc: &mut FevesEncoder,
-    frames: &[Frame],
-    start: usize,
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    ckpt: Option<(&CheckpointManager, &mut ResumeContext)>,
-    rec: &Option<Arc<MemoryRecorder>>,
-) -> CliResult<(Vec<feves::core::FrameReport>, bool)> {
-    let mut reports = Vec::new();
-    let mut ckpt = ckpt;
-    for (i, f) in frames.iter().enumerate().skip(start) {
-        if feves::serve::signal::shutdown_requested() {
-            let Some((mgr, ctx)) = ckpt.as_mut() else {
-                return Err(CliError::runtime(
-                    "interrupted (no checkpointing armed; partial output left as-is)",
-                ));
-            };
-            commit_checkpoint(writer, out_path, enc, mgr, ctx, rec, i)?;
-            eprintln!("interrupted: checkpoint committed at frame {i}");
-            return Ok((reports, true));
+/// Print the encode's progress lines as the session reports them, keeping
+/// the frame reports for the closing summary.
+fn progress(reports: &mut Vec<FrameReport>) -> impl FnMut(Step<'_>) + '_ {
+    |step| match step {
+        Step::Frame(rep) => {
+            println!(
+                "frame {:>4} ({}) {:>9} bits  PSNR-Y {:>6.2} dB  sim {:>7.2} ms",
+                rep.frame,
+                if rep.is_intra { "I" } else { "P" },
+                rep.bits.unwrap_or(0),
+                rep.psnr_y.unwrap_or(f64::NAN),
+                rep.tau_tot * 1e3
+            );
+            reports.push(rep.clone());
         }
-        crash_point_at("frame", i as u64);
-        let rep = enc.encode_frame(f);
-        let (y, u, v) = enc
-            .last_reconstruction_yuv()
-            .ok_or_else(|| CliError::runtime("functional encode produced no reconstruction"))?;
-        let mut rf = f.clone();
-        rf.y_mut().copy_from(y);
-        rf.u_mut().copy_from(u);
-        rf.v_mut().copy_from(v);
-        writer
-            .write_frame(&rf)
-            .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-        println!(
-            "frame {:>4} ({}) {:>9} bits  PSNR-Y {:>6.2} dB  sim {:>7.2} ms",
-            rep.frame,
-            if rep.is_intra { "I" } else { "P" },
-            rep.bits.unwrap_or(0),
-            rep.psnr_y.unwrap_or(f64::NAN),
-            rep.tau_tot * 1e3
-        );
-        reports.push(rep);
-        let done = i + 1;
-        if let Some((mgr, ctx)) = ckpt.as_mut() {
-            if ctx.every > 0 && done.is_multiple_of(ctx.every) && done < frames.len() {
-                let written = commit_checkpoint(writer, out_path, enc, mgr, ctx, rec, done)?;
-                eprintln!("checkpoint {} (frame {done})", written.display());
-            }
-        }
+        Step::Checkpoint {
+            path,
+            frame,
+            stop: false,
+            ..
+        } => eprintln!("checkpoint {} (frame {frame})", path.display()),
+        Step::Checkpoint {
+            frame, stop: true, ..
+        } => eprintln!("interrupted: checkpoint committed at frame {frame}"),
+        Step::Begin(_) => {}
     }
-    Ok((reports, false))
 }
 
-fn print_encode_summary(
-    opts_platform: &str,
-    out_path: &str,
-    reports: Vec<feves::core::FrameReport>,
-) {
-    let report = EncodeReport::new(opts_platform.to_string(), reports);
+fn print_encode_summary(platform: &str, out_path: &str, reports: Vec<FrameReport>) {
+    let report = EncodeReport::new(platform.to_string(), reports);
     println!(
         "\nwrote {out_path} — {} bits total, mean PSNR-Y {:.2} dB",
         report.total_bits(),
@@ -864,100 +654,44 @@ fn print_encode_summary(
 
 fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     feves::serve::signal::install_handlers();
-    let (input_fp, header, frames) = read_input(input)?;
+    let src = session::read_input(input)?;
     println!(
         "{input}: {}x{}, {} frames",
-        header.resolution.width,
-        header.resolution.height,
-        frames.len()
+        src.header.resolution.width,
+        src.header.resolution.height,
+        src.frames.len()
     );
-    let platform_json = match &opts.platform_file {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
-        ),
-        None => None,
-    };
-    let (platform, mut cfg) = JobSpec::from_options(opts, platform_json.as_deref())
-        .build(header.resolution)
-        .map_err(CliError::usage)?;
-    cfg.mode = ExecutionMode::Functional;
-    let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let telemetry = attach_telemetry(&mut enc, "encode", opts);
-    let rec = telemetry.memory();
-    enable_flight(&mut enc, &opts.flight_out, frames.len());
-
     let out_path = output
         .map(str::to_string)
         .unwrap_or_else(|| format!("{input}.recon.y4m"));
-    let out = CrcFile::create(std::path::Path::new(&out_path))
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    let mut writer = Y4mWriter::new(BufWriter::new(out), header);
-
-    // Arm checkpointing when asked for.
-    let mut ckpt_state = if opts.checkpoint_every > 0 {
-        let dir = opts
-            .checkpoint_dir
-            .clone()
-            .unwrap_or_else(|| format!("{out_path}.ckpt"));
-        let ctx = ResumeContext {
-            input: input.to_string(),
-            output: out_path.clone(),
-            platform: opts.platform.clone(),
-            platform_json,
-            sa: opts.sa,
-            refs: opts.refs,
-            qp: opts.qp,
-            balancer: opts.balancer.clone(),
-            kernels: opts.kernels.clone(),
-            faults: opts.faults.clone(),
-            deadline_factor: opts.deadline_factor,
-            flight_out: opts.flight_out.clone(),
-            metrics_out: opts.metrics_out.clone(),
-            every: opts.checkpoint_every,
-            keep: opts.checkpoint_keep,
-            frames_done: 0,
-            n_frames: frames.len(),
-            out_bytes: 0,
-            input_fingerprint: input_fp,
-            pipeline: opts.pipeline,
-            out_crc: 0,
-        };
-        Some((CheckpointManager::new(dir, opts.checkpoint_keep), ctx))
-    } else {
-        None
+    let ctx = ResumeContext {
+        input: input.to_string(),
+        output: out_path.clone(),
+        n_frames: src.frames.len(),
+        input_fingerprint: src.fingerprint,
+        ..job_of(opts)?
     };
-
-    let (reports, interrupted) = encode_loop(
-        &mut enc,
-        &frames,
-        0,
-        &mut writer,
-        &out_path,
-        ckpt_state.as_mut().map(|(m, c)| (&*m, c)),
-        &rec,
-    )?;
-    if interrupted {
+    let config = session::build_config(&ctx).map_err(CliError::usage)?;
+    let ckpt_dir = (opts.checkpoint_every > 0).then(|| {
+        PathBuf::from(
+            opts.checkpoint_dir
+                .clone()
+                .unwrap_or_else(|| format!("{out_path}.ckpt")),
+        )
+    });
+    let mut session = Session::open(ctx, &src, None, ckpt_dir, config)?;
+    let telemetry = attach_telemetry(&mut session.enc, "encode", opts);
+    enable_flight(&mut session.enc, &opts.flight_out, src.frames.len());
+    let mut reports = Vec::new();
+    let (report, enc) = session.run(&mut progress(&mut reports))?;
+    if report.interrupted {
         // The checkpoint is the committed state; the unfinished output
         // tail past `out_bytes` is `feves resume`'s to truncate.
         return telemetry.finish(&opts.metrics_out);
     }
-    finish_output(writer, &out_path)?;
     print_encode_summary(&opts.platform, &out_path, reports);
     write_flight(&enc, &opts.flight_out)?;
     telemetry.finish(&opts.metrics_out)
-}
-
-/// Flush, fsync and close the output: the encode only reports success once
-/// the artifact is durable.
-fn finish_output(writer: Y4mWriter<BufWriter<CrcFile>>, out_path: &str) -> CliResult {
-    let io_fail = |e: &dyn std::fmt::Display| CliError::runtime(format!("{out_path}: {e}"));
-    let file = writer
-        .finish()
-        .map_err(|e| io_fail(&e))?
-        .into_inner()
-        .map_err(|e| io_fail(&e))?;
-    file.sync().map_err(|e| io_fail(&e))?;
-    Ok(())
 }
 
 fn cmd_resume(path: &str) -> CliResult {
@@ -966,7 +700,7 @@ fn cmd_resume(path: &str) -> CliResult {
     // usable generation wins; corrupted generations are skipped with a
     // warning each).
     let p = PathBuf::from(path);
-    let (ckpt_path, mut ctx, state) = if p.is_dir() {
+    let (ckpt_path, ctx, state) = if p.is_dir() {
         let (ckpt_path, ctx, state, warnings) =
             feves::core::load_latest(&p).map_err(CliError::runtime)?;
         for w in warnings {
@@ -985,118 +719,33 @@ fn cmd_resume(path: &str) -> CliResult {
         ctx.input
     );
 
-    // The input must be byte-identical to the one the checkpoint saw.
-    let (input_fp, header, frames) = read_input(&ctx.input)?;
-    if input_fp != ctx.input_fingerprint {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "input {} changed since the checkpoint was taken",
-            ctx.input
-        ))));
-    }
-    if frames.len() != ctx.n_frames {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "input {} has {} frames, checkpoint expects {}",
-            ctx.input,
-            frames.len(),
-            ctx.n_frames
-        ))));
-    }
-
-    // Truncate the output to the last committed frame boundary: everything
-    // past `out_bytes` is a torn frame from the crash. The kept prefix must
-    // still hash to what the checkpoint committed — resuming atop bit-rot
-    // would launder corrupt bytes into a "complete" artifact.
-    let raw = std::fs::read(&ctx.output)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let len = raw.len() as u64;
-    if len < ctx.out_bytes {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "output {} is {len} bytes, shorter than the {} committed by the checkpoint",
-            ctx.output, ctx.out_bytes
-        ))));
-    }
-    let prefix_crc_state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
-    if ctx.frames_done > 0 && !prefix_crc_state != ctx.out_crc {
-        return Err(CliError::runtime(FevesError::CheckpointCorrupt(format!(
-            "output {}: committed prefix hashes to {:08x}, checkpoint recorded {:08x} \
-             — the artifact rotted on disk; re-encode instead of resuming",
-            ctx.output, !prefix_crc_state, ctx.out_crc
-        ))));
-    }
-    drop(raw);
-    let out_file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&ctx.output)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    out_file
-        .set_len(ctx.out_bytes)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let mut out_file = out_file;
-    out_file
-        .seek(SeekFrom::End(0))
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let out_file = CrcFile::resume(out_file, prefix_crc_state, ctx.out_bytes);
-
-    // Rebuild the platform/config exactly as the original invocation did,
-    // and restore the encoder without re-probing.
-    let (platform, mut cfg) = JobSpec::from_context(&ctx)
-        .build(header.resolution)
-        .map_err(CliError::runtime)?;
-    cfg.mode = ExecutionMode::Functional;
-    // A frame-0 checkpoint (interrupted before any frame) committed no
-    // output — not even the Y4M header — so a fresh start is identical
-    // and sidesteps resuming into an empty file.
-    let fresh = ctx.frames_done == 0;
-    let mut enc = if fresh {
-        FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?
-    } else {
-        FevesEncoder::restore(platform, cfg, state).map_err(CliError::runtime)?
-    };
-
+    // Rebuild the platform/config exactly as the original invocation did;
+    // the session refuses a changed input or a stale/rotted output.
+    let src = session::read_input(&ctx.input)?;
+    let config = session::build_config(&ctx).map_err(CliError::runtime)?;
+    let dir = ckpt_path
+        .parent()
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    let mut session = Session::open(ctx.clone(), &src, Some(state), Some(dir), config)?;
     // Re-arm the session-level extras the checkpoint deliberately excludes.
-    let rec = ctx.metrics_out.as_ref().map(|_| {
-        let rec = Arc::new(MemoryRecorder::new());
-        enc.set_recorder(rec.clone());
-        rec
-    });
-    enable_flight(&mut enc, &ctx.flight_out, ctx.n_frames);
-    if let Some(fl) = enc.flight_mut() {
+    let rec = attach_recorder(&mut session.enc, &ctx.metrics_out);
+    enable_flight(&mut session.enc, &ctx.flight_out, ctx.n_frames);
+    if let Some(fl) = session.enc.flight_mut() {
         fl.mark_resume(ctx.frames_done);
     }
-
-    let out_path = ctx.output.clone();
-    let mut writer = if fresh {
-        Y4mWriter::new(BufWriter::new(out_file), header)
-    } else {
-        Y4mWriter::resume(BufWriter::new(out_file), header)
-    };
-    let mgr = CheckpointManager::new(
-        ckpt_path
-            .parent()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(".")),
-        ctx.keep,
-    );
-    let start = ctx.frames_done;
-    let (reports, interrupted) = encode_loop(
-        &mut enc,
-        &frames,
-        start,
-        &mut writer,
-        &out_path,
-        Some((&mgr, &mut ctx)),
-        &rec,
-    )?;
-    if interrupted {
+    let mut reports = Vec::new();
+    let (report, enc) = session.run(&mut progress(&mut reports))?;
+    if report.interrupted {
         return write_metrics(&rec, &ctx.metrics_out);
     }
-    finish_output(writer, &out_path)?;
     println!(
-        "\nresumed at frame {start}; encoded {} more frame(s) into {out_path}",
-        reports.len()
+        "\nresumed at frame {}; encoded {} more frame(s) into {}",
+        ctx.frames_done,
+        reports.len(),
+        ctx.output
     );
-    print_encode_summary(&ctx.platform, &out_path, reports);
+    print_encode_summary(&ctx.platform, &ctx.output, reports);
     write_flight(&enc, &ctx.flight_out)?;
     write_metrics(&rec, &ctx.metrics_out)
 }
@@ -1353,6 +1002,8 @@ fn cmd_submit(opts: &Options, spool: &str, input: &str, output: Option<&str>) ->
         pipeline: opts.pipeline,
         trace: !opts.no_trace,
     };
+    // Refuse a spec no session could run before it reaches the spool.
+    session::check_job(&job).map_err(CliError::usage)?;
     let path = feves::serve::job::write_job(std::path::Path::new(spool), &job)
         .map_err(CliError::runtime)?;
     println!("submitted {} ({})", job.id, path.display());
@@ -1518,7 +1169,7 @@ fn main() -> ExitCode {
         }
         "export-platform" => {
             let name = rest.first().map(String::as_str).unwrap_or("syshk");
-            platform_of(&name.to_lowercase())
+            session::platform_of(&name.to_lowercase())
                 .map(|(p, _)| println!("{}", p.to_json()))
                 .map_err(CliError::Usage)
         }

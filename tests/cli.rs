@@ -336,6 +336,23 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
 }
 
 #[test]
+fn empty_input_is_a_runtime_error_without_output() {
+    let dir = std::env::temp_dir().join("feves_cli_empty");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.y4m");
+    let output = dir.join("out.y4m");
+    std::fs::write(&input, "YUV4MPEG2 W176 H144 F25:1 Ip A0:0 C420jpeg\n").unwrap();
+    let (code, _, stderr) =
+        run_code(&["encode", input.to_str().unwrap(), output.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one diagnostic line:\n{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("empty input"), "{stderr}");
+    assert!(!output.exists(), "an empty input must leave no output file");
+}
+
+#[test]
 fn checkpointed_encode_then_resume_completes_the_tail() {
     use feves::video::y4m::{Y4mHeader, Y4mWriter};
     use feves::video::{Resolution, SynthConfig, SynthSequence};

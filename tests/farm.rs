@@ -262,6 +262,32 @@ fn exhausted_retry_budget_fails_with_culprit_attribution() {
 }
 
 #[test]
+fn submit_refuses_specs_no_session_could_run() {
+    let dir = scratch("badspec");
+    let spool = dir.join("spool");
+    let input = dir.join("in.y4m");
+    write_input(&input, 0xBAD, 1);
+    let (spool_s, input) = (spool.to_str().unwrap(), input.to_str().unwrap());
+    for (id, flag, value) in [
+        ("p", "--platform", "bogus"),
+        ("b", "--balancer", "nope"),
+        ("f", "--inject-fault", "zz"),
+    ] {
+        let out = Command::new(feves_bin())
+            .args(["submit", spool_s, input, "out.y4m", "--id", id, flag, value])
+            .output()
+            .expect("spawn feves binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{flag} {value}:\n{stderr}");
+        assert!(
+            !spool.join(format!("{id}.json")).exists(),
+            "{flag} {value} must write no spec"
+        );
+    }
+}
+
+#[test]
 fn admission_rejects_above_high_watermark() {
     // Five jobs into a queue bounded at two with one session in flight:
     // exactly two may complete, the overflow must be rejected with a typed
